@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
+.PHONY: check fmt vet staticcheck build test bench-selftest bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
 
 ## check: the full local gate — format, vet, staticcheck, build,
-## race-enabled tests, the CI-sized overload and scale soaks, and the
-## CI-sized conformance gate.
-check: fmt vet staticcheck build test soak-overload-short soak-scale-short conformance-short
+## race-enabled tests, the perfbench self-test, the CI-sized overload
+## and scale soaks, and the CI-sized conformance gate.
+check: fmt vet staticcheck build test bench-selftest soak-overload-short soak-scale-short conformance-short
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -37,6 +37,13 @@ build:
 # order; failures print the shuffle seed to reproduce.
 test:
 	$(GO) test -race -shuffle=on -timeout 60m ./...
+
+## bench-selftest: the perfbench module's own tests. perfbench is a
+## separate module, so `go test ./...` at the root never reaches it. The
+## tests pin BENCHMARK.json to perfbench's metric tables and check every
+## workload's tiny run against the committed perfbench/digests.json.
+bench-selftest:
+	$(GO) -C perfbench test -count=1 .
 
 ## conformance: the full analytical-twin conformance run — every
 ## hypothesis fit across seeds 1..5 at full sweep resolution plus the

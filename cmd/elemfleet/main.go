@@ -94,7 +94,6 @@ func main() {
 		minimize  = flag.Bool("minimize", false, "run the Algorithm 3 minimizer on every monitor")
 		cpEvery   = flag.Float64("checkpoint-every", 500, "checkpoint cadence in ms (negative disables)")
 		shards    = flag.Int("shards", 0, "parallel shard count (0 = one per core, 1 = single-threaded); results are identical for any value")
-		eventLoop = flag.Bool("event-loop", false, "drive monitors from per-shard event loops (hashed timer wheel) instead of per-monitor goroutines; results are identical")
 		scaleN    = flag.Int("scale", 0, "million-monitor mode: run N closed-form flows through per-shard event loops with two-phase escalation (replaces the simulated-stack fleet; honors -seed -dur -interval -shards -escalate -window-ms and the -budget-* flags)")
 
 		openWindow = flag.Float64("open-window", 1, "stagger connection opens over this many seconds")
@@ -166,7 +165,6 @@ func main() {
 		Minimize:        *minimize,
 		Shards:          *shards,
 		CheckpointEvery: units.DurationFromSeconds(*cpEvery / 1e3),
-		EventLoop:       *eventLoop,
 		Churn: fleet.ChurnConfig{
 			OpenWindow: units.DurationFromSeconds(*openWindow),
 			CloseFrac:  *closeFrac,

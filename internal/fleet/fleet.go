@@ -130,19 +130,6 @@ type Config struct {
 	// across shard counts for a fixed seed.
 	Shards int
 
-	// EventLoop replaces the per-monitor engine-scheduled tick closures
-	// with one hashed timer wheel per shard: a single recurring engine
-	// event per wheel tick expires every due monitor and batch-polls
-	// them, so the per-poll cost is an array scan instead of a heap
-	// insert + closure allocation. Poll deadlines (and crash-restart
-	// delays) quantize up to the wheel granularity — one poll interval —
-	// and the supervisor cadences (watchdog, checkpoints, governor
-	// barriers) fold into every Nth wheel tick. Same-seed results remain
-	// byte-identical across shard counts; see TestFleetEventLoopEquivalence
-	// for the exact conditions under which they also match goroutine
-	// mode sample-for-sample.
-	EventLoop bool
-
 	Backoff BackoffConfig
 	// Watchdog is the no-poll-progress deadline after which a monitor is
 	// recycled (0 = max(10 polling intervals, 100 ms)).
@@ -226,19 +213,11 @@ type Config struct {
 }
 
 // slice is the barrier interval: shards advance in parallel between
-// barriers of this length. In event-loop mode the barrier rounds up to
-// a whole number of wheel ticks, so the governor's barrier ticks land
-// exactly on wheel ticks — the ladder walks the same virtual instants
-// the wheel polls at.
+// barriers of this length.
 func (c Config) slice() units.Duration {
 	s := c.Duration / 64
 	if s < c.Interval {
 		s = c.Interval
-	}
-	if c.EventLoop {
-		if rem := s % c.Interval; rem != 0 {
-			s += c.Interval - rem
-		}
 	}
 	return s
 }
@@ -306,12 +285,6 @@ type shard struct {
 	fl       *Fleet
 	eng      *sim.Engine
 	monitors []*Monitor
-
-	// Event-loop state (nil/zero in goroutine mode): the shard's hashed
-	// timer wheel and its tick counter, from which the watchdog and
-	// checkpoint cadences are derived.
-	wh         *wheel
-	wheelTicks int64
 
 	// Per-shard observability buffers (nil when the fleet's are nil),
 	// merged into Config.Telem / Config.Waterfall at drain.
@@ -480,16 +453,7 @@ func New(cfg Config) *Fleet {
 			m.tier = f.gov.Tier(i)
 		}
 		f.monitors = append(f.monitors, m)
-		m.slot = int32(len(sh.monitors))
 		sh.monitors = append(sh.monitors, m)
-	}
-
-	if cfg.EventLoop {
-		// Wheels exist before any monitor opens: an open-at-zero
-		// monitor arms its first poll deadline during the loop below.
-		for _, sh := range f.shards {
-			sh.wh = newWheel(cfg.Interval, len(sh.monitors), len(sh.monitors)/4)
-		}
 	}
 
 	for _, m := range f.monitors {
@@ -505,61 +469,14 @@ func New(cfg Config) *Fleet {
 		f.startFanout()
 	}
 
-	// Per-shard supervisor timers. In event-loop mode the wheel driver
-	// subsumes them: the watchdog and checkpoint passes run on every
-	// Nth wheel tick, before that tick's polls — the same within-instant
-	// order the goroutine mode's engine event sequence produces.
+	// Per-shard supervisor timers.
 	for _, sh := range f.shards {
-		if cfg.EventLoop {
-			sh.runWheel()
-			continue
-		}
 		sh.scheduleWatchdog()
 		if cfg.CheckpointEvery > 0 {
 			sh.scheduleCheckpoints()
 		}
 	}
 	return f
-}
-
-// wheelTicksFor converts a supervisor cadence into wheel ticks, rounding
-// up so a cadence never fires early.
-func (c Config) wheelTicksFor(d units.Duration) int64 {
-	n := (int64(d) + int64(c.Interval) - 1) / int64(c.Interval)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// runWheel is the event-loop driver: one recurring engine event per
-// wheel tick per shard. Each firing runs the due supervisor cadences
-// (checkpoints, then watchdog — matching the goroutine mode's event
-// creation order at shared instants), then expires the wheel and wakes
-// every due monitor in arm order.
-func (sh *shard) runWheel() {
-	cfg := sh.fl.cfg
-	sh.eng.Schedule(cfg.Interval, func() {
-		if sh.fl.draining {
-			return
-		}
-		sh.wheelTicks++
-		if cfg.CheckpointEvery > 0 && sh.wheelTicks%cfg.wheelTicksFor(cfg.CheckpointEvery) == 0 {
-			for _, m := range sh.monitors {
-				m.checkpoint()
-			}
-		}
-		if sh.wheelTicks%cfg.wheelTicksFor(cfg.Watchdog) == 0 {
-			for _, m := range sh.monitors {
-				m.watchdogCheck()
-			}
-			sh.updateGauges()
-		}
-		for _, slot := range sh.wh.expire(sh.eng.Now()) {
-			sh.monitors[slot].wake()
-		}
-		sh.runWheel()
-	})
 }
 
 func (sh *shard) scheduleWatchdog() {

@@ -53,6 +53,51 @@ func TestFleetBoundedOrFlaggedUnderChurn(t *testing.T) {
 	}
 }
 
+// TestFleetPollsKeepExactDeadlines pins the per-monitor scheduling
+// contract: a monitor polls exactly every Interval from the instant its
+// connection opened, even when a staggered open lands between ticks of
+// the poll grid. A scheduler that quantizes deadlines to the grid moves
+// every such sample and fails here. The only samples off that grid are
+// the drain's, from its final poll at the end of the run.
+func TestFleetPollsKeepExactDeadlines(t *testing.T) {
+	testutil.NoLeaks(t)
+	f := New(Config{
+		Seed:        5,
+		Connections: 8,
+		Duration:    2 * units.Second,
+		Shards:      2,
+		Churn:       ChurnConfig{OpenWindow: units.Second},
+	})
+	res := f.Run()
+	if res.Restarts != 0 {
+		t.Fatalf("config restarted monitors (%v); poll phases would legitimately shift", res)
+	}
+	interval := int64(f.cfg.Interval)
+	offGrid := 0
+	for i, c := range res.Conns {
+		openAt := int64(f.monitors[i].plan.openAt)
+		if openAt%interval != 0 {
+			offGrid++
+		}
+		if len(c.SndLog) == 0 {
+			t.Fatalf("conn %d produced no sender samples", i)
+		}
+		for _, s := range c.SndLog {
+			if s.At == units.Time(f.cfg.Duration) {
+				continue // the drain's final poll
+			}
+			since := int64(s.At) - openAt
+			if since < interval || since%interval != 0 {
+				t.Fatalf("conn %d (opened at %v): sample at %v is not open + k×%v",
+					i, units.Duration(openAt), s.At, f.cfg.Interval)
+			}
+		}
+	}
+	if offGrid == 0 {
+		t.Fatal("every open landed on the poll grid; the test is vacuous")
+	}
+}
+
 func TestFleetDeterministicForFixedSeed(t *testing.T) {
 	testutil.NoLeaks(t)
 	a := New(testConfig(17, 10)).Run()

@@ -92,16 +92,15 @@ func FuzzScaleResume(f *testing.F) {
 	})
 }
 
-// FuzzFleetResumeDecode is the event-loop fleet's snapshot decode fuzz:
-// any byte string that UnmarshalSnapshot accepts must resume an
-// event-loop fleet at any shard count without panicking, with every
-// monitor landing in a valid ladder tier regardless of what the
-// snapshot claimed. Undecodable bytes must error, never crash.
+// FuzzFleetResumeDecode is the simulated-stack fleet's snapshot decode
+// fuzz: any byte string that UnmarshalSnapshot accepts must resume a
+// fleet at any shard count without panicking, with every monitor
+// landing in a valid ladder tier regardless of what the snapshot
+// claimed. Undecodable bytes must error, never crash.
 func FuzzFleetResumeDecode(f *testing.F) {
 	src := testConfig(31, 6)
 	src.Churn = ChurnConfig{}
 	src.Duration = 3 * units.Second
-	src.EventLoop = true
 	src.Shards = 2
 	seedFleet := New(src)
 	seedFleet.Run()
@@ -124,7 +123,6 @@ func FuzzFleetResumeDecode(f *testing.F) {
 		cfg := testConfig(32, 4)
 		cfg.Churn = ChurnConfig{}
 		cfg.Duration = 2 * units.Second
-		cfg.EventLoop = true
 		cfg.Shards = 1 + int(shardByte)%4
 		cfg.Resume = snap
 		res := New(cfg).Run()

@@ -24,16 +24,6 @@ var streamRules = stream.Rules{P99Above: 200 * units.Millisecond}
 // barrier-driven sealing design: sealed window sequences are a pure
 // function of barrier times, and sketch merges are exact.
 func TestFleetStreamShardCountInvariance(t *testing.T) {
-	streamShardCountInvariance(t, false)
-}
-
-// TestFleetEventLoopStreamShardCountInvariance re-pins the byte-equal
-// export contract with the wheel driving the polls.
-func TestFleetEventLoopStreamShardCountInvariance(t *testing.T) {
-	streamShardCountInvariance(t, true)
-}
-
-func streamShardCountInvariance(t *testing.T, eventLoop bool) {
 	testutil.NoLeaks(t)
 	prof, err := faults.ByName("stale-info")
 	if err != nil {
@@ -44,7 +34,6 @@ func streamShardCountInvariance(t *testing.T, eventLoop bool) {
 		cfg := testConfig(29, 10)
 		cfg.Faults = &prof
 		cfg.Shards = shards
-		cfg.EventLoop = eventLoop
 		cfg.Waterfall = waterfall.New() // exercise the escalation hook gate
 		cfg.Stream = &StreamConfig{
 			Window: 500 * units.Millisecond,

@@ -12,9 +12,9 @@ import "element/internal/units"
 // wrap-around needs no overflow list because every entry carries enough
 // to tell its round apart.
 //
-// Each slot holds at most one live deadline. Re-arm and cancel are O(1)
-// by lazy invalidation: every arm/cancel bumps the slot's generation,
-// and a bucket entry is live only while its recorded generation matches.
+// Each slot holds at most one live deadline. Re-arm is O(1) by lazy
+// invalidation: every arm bumps the slot's generation, and a bucket
+// entry is live only while its recorded generation matches.
 // A stale entry is dropped the next time its bucket is scanned. The
 // firing order within one tick is therefore well defined: entries fire
 // in arm order (the latest arm per slot), which is what the heap-oracle
@@ -94,16 +94,6 @@ func (w *wheel) arm(slot int32, at units.Time) {
 	w.buckets[b] = append(w.buckets[b], wheelEntry{slot: slot, gen: w.gen[slot]})
 }
 
-// cancel disarms the slot; its bucket entry is dropped lazily.
-func (w *wheel) cancel(slot int32) {
-	if w.deadline[slot] < 0 {
-		return
-	}
-	w.deadline[slot] = -1
-	w.gen[slot]++
-	w.armed--
-}
-
 // armedCount reports how many slots currently hold a live deadline.
 func (w *wheel) armedCount() int { return w.armed }
 
@@ -119,7 +109,7 @@ func (w *wheel) expire(now units.Time) []int32 {
 		keep := entries[:0]
 		for _, e := range entries {
 			if w.gen[e.slot] != e.gen {
-				continue // re-armed or canceled since this entry was made
+				continue // re-armed since this entry was made
 			}
 			if w.deadline[e.slot] == w.tick {
 				w.deadline[e.slot] = -1

@@ -41,8 +41,6 @@ func (o *wheelOracle) arm(slot int32, at units.Time) {
 	o.deadline[slot] = oracleTimer{tick: t, seq: o.seq}
 }
 
-func (o *wheelOracle) cancel(slot int32) { delete(o.deadline, slot) }
-
 // expire returns every slot due at or before now, ordered by
 // (tick, arm sequence) — the contract the wheel's bucket scan realizes.
 func (o *wheelOracle) expire(now units.Time) []int32 {
@@ -88,9 +86,6 @@ func wheelVsOracle(t testing.TB, gran units.Duration, slots int, ops []wheelOp) 
 			at := now.Add(op.delay)
 			w.arm(op.slot, at)
 			o.arm(op.slot, at)
-		case opCancel:
-			w.cancel(op.slot)
-			o.cancel(op.slot)
 		case opAdvance:
 			now = now.Add(op.delay)
 			got := w.expire(now)
@@ -118,7 +113,6 @@ type wheelOpKind int
 
 const (
 	opArm wheelOpKind = iota
-	opCancel
 	opAdvance
 )
 
@@ -128,8 +122,8 @@ type wheelOp struct {
 	delay units.Duration
 }
 
-// TestWheelOracle is the property test: random insert / advance / cancel
-// / re-arm sequences must fire the same deadlines in the same order as
+// TestWheelOracle is the property test: random insert / advance / re-arm
+// sequences must fire the same deadlines in the same order as
 // the sorted-container oracle, with no timer lost or duplicated. The
 // delay distribution deliberately reaches past the wheel horizon
 // (16 buckets × gran) so multi-round wrap-around entries are routine,
@@ -144,11 +138,9 @@ func TestWheelOracle(t *testing.T) {
 			r := rng.Float64()
 			slot := int32(rng.Intn(slots))
 			switch {
-			case r < 0.55:
+			case r < 0.6:
 				// Delay up to 64 ticks: four times the 16-bucket horizon.
 				ops = append(ops, wheelOp{opArm, slot, units.Duration(rng.Int63n(64 * int64(gran)))})
-			case r < 0.65:
-				ops = append(ops, wheelOp{opCancel, slot, 0})
 			default:
 				ops = append(ops, wheelOp{opAdvance, 0, units.Duration(rng.Int63n(3 * int64(gran)))})
 			}
@@ -248,10 +240,10 @@ func BenchmarkWheelTick(b *testing.B) {
 	b.ReportMetric(float64(fired)/float64(b.N*revolution), "timers/tick")
 }
 
-// FuzzWheel feeds arbitrary advance/insert/cancel interleavings to the
+// FuzzWheel feeds arbitrary advance/insert interleavings to the
 // wheel-vs-oracle harness: every byte triple decodes to one op, so the
 // fuzzer explores orderings (re-arm shrinking a deadline into the past,
-// cancel racing an expire, horizon wrap) no hand-written table covers.
+// re-arm racing an expire, horizon wrap) no hand-written table covers.
 func FuzzWheel(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x05, 0xc0, 0x00, 0x03, 0x40, 0x02, 0x30})
 	f.Add([]byte{0x00, 0x00, 0xff, 0x80, 0x00, 0x00, 0xc0, 0x00, 0xff, 0x00, 0x00, 0x01})
@@ -265,12 +257,9 @@ func FuzzWheel(f *testing.F) {
 			// Delay spans 0..255 ticks against a 16-bucket wheel: most
 			// arms wrap the horizon at least once.
 			delay := units.Duration(data[i+2]) * gran
-			switch data[i] >> 6 {
-			case 0, 1:
+			if data[i] < 0x80 {
 				ops = append(ops, wheelOp{opArm, slot, delay})
-			case 2:
-				ops = append(ops, wheelOp{opCancel, slot, 0})
-			default:
+			} else {
 				ops = append(ops, wheelOp{opAdvance, 0, delay})
 			}
 		}
