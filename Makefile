@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test bench-selftest bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
+.PHONY: check fmt vet staticcheck build test loc bench-selftest bench bench-smoke bench-baseline bench-gate soak soak-short soak-overload soak-overload-short soak-scale soak-scale-short conformance conformance-short
 
 ## check: the full local gate — format, vet, staticcheck, build,
 ## race-enabled tests, the perfbench self-test, the CI-sized overload
@@ -37,6 +37,11 @@ build:
 # order; failures print the shuffle seed to reproduce.
 test:
 	$(GO) test -race -shuffle=on -timeout 60m ./...
+
+## loc: the non-test Go line count of tracked files — the one definition
+## of "non-test lines" that deletion PRs report before and after.
+loc:
+	@git ls-files '*.go' ':!:*_test.go' | xargs cat | wc -l
 
 ## bench-selftest: the perfbench module's own tests. perfbench is a
 ## separate module, so `go test ./...` at the root never reaches it. The

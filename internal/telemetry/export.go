@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"element/internal/telemetry/stream"
 )
 
 // Format names an exporter for CLI flags.
@@ -306,12 +308,7 @@ func (t *Telemetry) WriteText(w io.Writer) error {
 			typed[h.Name] = true
 			promHeader(bw, h.Name, "summary", "Distribution of "+h.Name+" recorded by the element simulator.")
 		}
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			fmt.Fprintf(bw, "element_%s{component=\"%s\",quantile=\"%g\"} %g\n",
-				h.Name, escapeLabelValue(h.Component), q, h.Quantile(q))
-		}
-		fmt.Fprintf(bw, "element_%s_sum{component=\"%s\"} %g\n", h.Name, escapeLabelValue(h.Component), h.Sum())
-		fmt.Fprintf(bw, "element_%s_count{component=\"%s\"} %d\n", h.Name, escapeLabelValue(h.Component), h.Count())
+		stream.WriteSummary(bw, "element_"+h.Name, `component="`+escapeLabelValue(h.Component)+`"`, &h.Sketch, h.Sum())
 	}
 	if tr := t.Tracer(); tr != nil {
 		promHeader(bw, "trace_events", "gauge", "Events currently retained in the telemetry ring.")

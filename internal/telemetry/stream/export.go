@@ -6,9 +6,24 @@ import (
 	"io"
 )
 
-// exportQuantiles is the fixed set of per-window quantile series each
-// exporter emits for every sketch.
+// exportQuantiles is the fixed set of quantiles every exporter emits for
+// every sketch: the windowed text and JSONL exporters here and the
+// registry snapshot (telemetry's WriteText, through WriteSummary).
 var exportQuantiles = []float64{0.5, 0.9, 0.99}
+
+// WriteSummary writes the sample lines of one Prometheus summary series:
+// `fam{labels,quantile="q"} v` for each exported quantile of sk, then
+// `fam_sum{labels} sum` and `fam_count{labels} n`. labels is the series'
+// already-escaped label set without braces (e.g. `window="3"`); sum is
+// the caller's choice of exact or estimated total. # HELP/# TYPE lines
+// and any extra gauges stay with the caller.
+func WriteSummary(w io.Writer, fam, labels string, sk *Sketch, sum float64) {
+	for _, q := range exportQuantiles {
+		fmt.Fprintf(w, "%s{%s,quantile=\"%g\"} %g\n", fam, labels, q, sk.Quantile(q))
+	}
+	fmt.Fprintf(w, "%s_sum{%s} %g\n", fam, labels, sum)
+	fmt.Fprintf(w, "%s_count{%s} %d\n", fam, labels, sk.Count())
+}
 
 // Sink consumes sealed windows. names is the stream's series-name slice
 // (one entry per Window.Sketches index); it is identical on every call
@@ -65,6 +80,7 @@ func (t *TextExporter) ExportWindow(names []string, win *Window) error {
 	bw := bufio.NewWriter(t.w)
 	fmt.Fprintf(bw, "# window %d [%s,%s) samples=%d flagged=%d late=%d\n",
 		win.Index, win.Start, win.End, win.Samples, win.Flagged, win.Late)
+	label := fmt.Sprintf(`window="%d"`, win.Index)
 	for i, name := range names {
 		sk := &win.Sketches[i]
 		fam := "element_stream_" + name
@@ -72,14 +88,9 @@ func (t *TextExporter) ExportWindow(names []string, win *Window) error {
 			t.typed[fam] = true
 			fmt.Fprintf(bw, "# TYPE %s summary\n", fam)
 		}
-		for _, q := range exportQuantiles {
-			fmt.Fprintf(bw, "%s{window=\"%d\",quantile=\"%g\"} %g\n",
-				fam, win.Index, q, sk.Quantile(q))
-		}
-		fmt.Fprintf(bw, "%s_sum{window=\"%d\"} %g\n", fam, win.Index, sk.ApproxSum())
-		fmt.Fprintf(bw, "%s_count{window=\"%d\"} %d\n", fam, win.Index, sk.Count())
-		fmt.Fprintf(bw, "%s_min{window=\"%d\"} %g\n", fam, win.Index, sk.Min())
-		fmt.Fprintf(bw, "%s_max{window=\"%d\"} %g\n", fam, win.Index, sk.Max())
+		WriteSummary(bw, fam, label, sk, sk.ApproxSum())
+		fmt.Fprintf(bw, "%s_min{%s} %g\n", fam, label, sk.Min())
+		fmt.Fprintf(bw, "%s_max{%s} %g\n", fam, label, sk.Max())
 	}
 	t.Windows++
 	return bw.Flush()

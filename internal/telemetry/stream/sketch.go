@@ -1,10 +1,12 @@
-// Package stream is the bounded-memory streaming layer on top of the
-// per-run telemetry registry: mergeable quantile sketches, fixed-duration
-// tumbling windows in virtual time with watermarking, bounded exporters
-// (Prometheus text and a remote-write-shaped JSONL batch with a hard byte
-// budget), and sketch-driven escalation rules that flip a fleet monitor
-// from lightweight sketch-only observation to full tracker + waterfall
-// granularity.
+// Package stream holds the repo's one log-linear quantile sketch and the
+// bounded-memory streaming layer built from it: mergeable sketches,
+// fixed-duration tumbling windows in virtual time with watermarking,
+// bounded exporters (Prometheus text and a remote-write-shaped JSONL batch
+// with a hard byte budget), and sketch-driven escalation rules that flip a
+// fleet monitor from lightweight sketch-only observation to full tracker +
+// waterfall granularity. The telemetry registry's histograms are named
+// Sketches too, and both Prometheus text writers emit summaries through
+// WriteSummary.
 //
 // Design constraints, in order:
 //
@@ -29,11 +31,8 @@ import "math"
 // Log-linear sketch layout: sketchOctaves powers of two, each split into
 // sketchSubBuckets linear sub-buckets, covering 2^sketchMinExp ..
 // 2^sketchMaxExp. The range is tuned for delays in seconds — one
-// nanosecond to about seventeen minutes — and values outside it clamp
-// into the first/last bucket. The layout matches telemetry.Histogram's
-// octave/sub-bucket math exactly, so over the shared range the two
-// produce identical quantile estimates for identical inputs (pinned by
-// TestSketchCrossCheck).
+// nanosecond to about seventeen minutes — and values outside it (+Inf
+// included) clamp into the first/last bucket.
 const (
 	sketchSubBuckets = 8
 	sketchMinExp     = -30
@@ -60,9 +59,11 @@ type Sketch struct {
 	buckets [sketchBuckets]uint64
 }
 
-// sketchIndex maps a positive value to its bucket (same math as
-// telemetry.Histogram, over this sketch's narrower exponent range).
+// sketchIndex maps a positive value to its bucket.
 func sketchIndex(v float64) int {
+	if math.IsInf(v, 1) {
+		return sketchBuckets - 1 // Frexp(+Inf) has no usable fraction
+	}
 	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
 	octave := exp - 1 - sketchMinExp
 	if octave < 0 {
@@ -86,13 +87,14 @@ func sketchUpper(i int) float64 {
 	return lo + lo*float64(sub+1)/sketchSubBuckets
 }
 
-// Observe records one value. Negative values clamp to zero; NaN is
-// ignored. Allocation-free.
+// Observe records one value. Negative values and -0 clamp to +0, so
+// min/max never depend on observation order; NaN is ignored.
+// Allocation-free.
 func (s *Sketch) Observe(v float64) {
 	if s == nil || math.IsNaN(v) {
 		return
 	}
-	if v < 0 {
+	if v <= 0 {
 		v = 0
 	}
 	if s.count == 0 || v < s.min {

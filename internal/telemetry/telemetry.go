@@ -1,18 +1,19 @@
 // Package telemetry is the simulation-wide observability layer: a metrics
-// registry (counters, gauges, log-linear histograms) plus a structured
-// event tracer, both keyed by component, with exporters for Chrome
-// trace_event JSON (chrome://tracing / Perfetto), JSONL event dumps, and a
-// Prometheus-style text snapshot.
+// registry (counters, gauges, and histograms that are each a named
+// stream.Sketch plus an exact sum) plus a structured event tracer, both
+// keyed by component, with exporters for Chrome trace_event JSON
+// (chrome://tracing / Perfetto), JSONL event dumps, and a Prometheus-style
+// text snapshot.
 //
 // Design constraints, in order:
 //
 //   - Zero dependencies and zero behavioural impact: telemetry only records,
 //     it never schedules events or perturbs the simulation, so instrumented
 //     and uninstrumented runs of the same seed are byte-identical.
-//   - Nil-safe hot paths: every handle (*Counter, *Gauge, *Histogram,
-//     *Scope) no-ops on a nil receiver, so instrumentation call sites need
-//     no guards and an uninstrumented run pays a single predictable
-//     nil-check per site.
+//   - Nil-safe hot paths: every handle's recording methods (*Counter,
+//     *Gauge, *Histogram, *Scope) no-op on a nil receiver, so
+//     instrumentation call sites need no guards and an uninstrumented
+//     run pays a single predictable nil-check per site.
 //   - Atomic-free: the engine is single-threaded per simulation, so plain
 //     loads/stores suffice (matching internal/sim's concurrency model).
 //

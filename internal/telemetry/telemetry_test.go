@@ -84,7 +84,7 @@ func TestHistogramLogLinear(t *testing.T) {
 	if h.Min() != 0 || h.Max() != 1 {
 		t.Fatalf("min/max = %v/%v, want 0/1", h.Min(), h.Max())
 	}
-	if mean := h.Mean(); mean < 0.49 || mean > 0.51 {
+	if mean := h.Sum() / float64(h.Count()); mean < 0.49 || mean > 0.51 {
 		t.Fatalf("mean = %v, want ≈0.5", mean)
 	}
 	// Log-linear buckets are ≤ ~12.5% wide, so quantiles land close.
@@ -98,17 +98,22 @@ func TestHistogramLogLinear(t *testing.T) {
 		t.Fatalf("q0 = %v, want 0 (zero observations present)", q)
 	}
 
-	// Extreme values clamp into the end buckets instead of panicking.
+	// Extreme values clamp into the end buckets instead of panicking; NaN
+	// is ignored and +Inf lands in the last bucket.
 	h2 := tel.Scope("core").Histogram("extremes")
 	h2.Observe(math.Ldexp(1, -100))
 	h2.Observe(math.Ldexp(1, 100))
+	h2.Observe(math.NaN())
 	if h2.Count() != 2 {
 		t.Fatalf("extreme count = %d", h2.Count())
 	}
-	// Out-of-range values land in the edge buckets, so the quantile
-	// reports the bucket edge (2^histMaxExp), not the true max.
-	if q := h2.Quantile(1); q < math.Ldexp(1, histMaxExp-1) || q > h2.Max() {
-		t.Fatalf("q1 = %v, want within [2^%d, max %v]", q, histMaxExp-1, h2.Max())
+	// The top rank is the observed max exactly, even out of range.
+	if q := h2.Quantile(1); q != h2.Max() {
+		t.Fatalf("q1 = %v, want max %v", q, h2.Max())
+	}
+	h2.Observe(math.Inf(1))
+	if h2.Count() != 3 || h2.Quantile(1) != math.Inf(1) || !math.IsInf(h2.Sum(), 1) {
+		t.Fatalf("+Inf: count=%d q1=%v sum=%v", h2.Count(), h2.Quantile(1), h2.Sum())
 	}
 }
 
